@@ -42,12 +42,14 @@ bench-smoke:
 	@cat bench-smoke.txt
 	$(GO) run ./tools/benchjson -in bench-smoke.txt -out $(BENCH_SMOKE_JSON)
 
-# Streaming-analytics canary: a full streaming pass over a sealed 128k-record
-# segment store must hold bounded live heap (records must not be retained)
-# and keep its decode throughput. Numbers are recorded in
-# BENCH_analytics.json; a regression fails the pre-commit gate.
+# Analytics canary, once per aggregate mode: a full pass over a sealed
+# segment store — bounded mode over ForEachDownload, exact mode over
+# SummarizeStore's parallel walk — must hold bounded live heap (records must
+# not be retained) and keep its decode-and-fold throughput. Numbers are
+# recorded in BENCH_analytics.json; a regression fails the pre-commit gate.
 bench-analytics:
-	$(GO) test -run 'TestStreamingBoundedMemory$$' -bench 'BenchmarkStreamingSummarize$$' \
+	$(GO) test -run 'TestStreamingBoundedMemory$$|TestOfflineStreamingBoundedMemory$$' \
+		-bench 'BenchmarkStreamingSummarize$$|BenchmarkSummarizeStore$$' \
 		-benchtime 3x -benchmem -v ./internal/logpipe
 
 # Fault-injection end-to-end: a live cluster with a flapping edge, a dying

@@ -11,9 +11,10 @@
 //     or under -logs/segments (the control plane's durable log store, or
 //     netsession-sim -format segments)
 //
-// Segment stores are streamed — decoded segment by segment into a running
-// accumulator — so memory stays bounded no matter how many entries the store
-// holds. With -follow the analyzer tails a live log directory instead,
+// Both layouts are streamed — folded record by record into an exact-mode
+// analysis.Aggregate — so memory scales with distinct GUIDs/URLs/ASes, not
+// with how many entries the logs hold. With -follow the analyzer tails a
+// live log directory instead, folding into a bounded-mode aggregate and
 // printing a rolling live-analytics dashboard as segments land, and resumes
 // from a checkpointed cursor across restarts.
 //
@@ -50,7 +51,7 @@ func main() {
 		"tail-cursor checkpoint file in follow mode (default: tail-cursor.json inside the segment directory)")
 	workers := flag.Int("workers", runtime.NumCPU(), "parallel segment decoders for the one-shot pass")
 	figures := flag.Bool("figures", false,
-		"also print the streaming figure passes (size CDFs, popularity, abort rates, per-region offload)")
+		"also print the figure passes (size CDFs, popularity, abort rates, per-region offload)")
 	flag.Parse()
 
 	if *follow {
@@ -61,7 +62,7 @@ func main() {
 }
 
 // runOnce is the one-shot offline pass. Both input layouts stream: a jsonl
-// export scans record by record into a sharded accumulator, a segment store
+// export scans record by record into an exact aggregate, a segment store
 // goes through the parallel decode-and-fold pass — either way memory scales
 // with distinct GUIDs/URLs/ASes, never with record count, so a paper-scale
 // store analyzes on one box.
@@ -75,16 +76,15 @@ func runOnce(dir string, workers int, figures bool) {
 	if f, err := os.Open(jsonlPath); err == nil {
 		defer f.Close()
 		source = jsonlPath
-		acc := analysis.NewShardedOfflineAccumulator(4*workers, figures)
+		agg := analysis.NewAggregate(analysis.Exact)
 		br := bufio.NewReaderSize(f, 1<<20)
 		if err := analysis.ScanDownloadsJSONL(br, func(d *analysis.OfflineDownload) error {
-			acc.Add(d)
-			sum.Records++
+			agg.Add(d)
 			return nil
 		}); err != nil {
 			log.Fatalf("%s: %v", jsonlPath, err)
 		}
-		sum.Summary, sum.Figures = acc.Summary(), acc.Figures()
+		sum = logpipe.StoreSummary{Summary: agg.Summary(), Figures: agg, Records: agg.Records()}
 	} else {
 		segDir, ok := findSegmentDir(dir)
 		if !ok {
@@ -104,13 +104,13 @@ func runOnce(dir string, workers int, figures bool) {
 	log.Printf("streamed %d download records from %s in %.2fs (%.0f records/sec)",
 		sum.Records, source, elapsed.Seconds(), float64(sum.Records)/elapsed.Seconds())
 	fmt.Print(sum.Summary.Render())
-	if figures && sum.Figures != nil {
-		fmt.Print(sum.Figures.Render())
+	if figures {
+		fmt.Print(sum.Figures.RenderFigures())
 	}
 }
 
 // runFollow tails a live segment directory: every poll folds the new records
-// into a streaming summarizer and re-renders the dashboard. The cursor is
+// into a bounded-mode aggregate and re-renders the dashboard. The cursor is
 // checkpointed after each poll, so a restarted follower picks up where it
 // stopped instead of replaying the store.
 func runFollow(dir, cursorPath string, refresh time.Duration) {
@@ -127,7 +127,7 @@ func runFollow(dir, cursorPath string, refresh time.Duration) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sum := analysis.NewStreamingSummarizer(4)
+	agg := analysis.NewAggregate(analysis.Bounded)
 	log.Printf("following %s (cursor %s, refresh %s)", segDir, cursorPath, refresh)
 	start := time.Now()
 	var total int64
@@ -137,14 +137,14 @@ func runFollow(dir, cursorPath string, refresh time.Duration) {
 			log.Printf("poll: %v", perr)
 		}
 		for i := range recs {
-			sum.Observe(&recs[i])
+			agg.Add(&recs[i])
 		}
 		if len(recs) > 0 {
 			total += int64(len(recs))
 			rate := float64(total) / time.Since(start).Seconds()
 			log.Printf("%s +%d records (%d total, %.0f records/sec, %d torn segments skipped)",
 				time.Now().Format("15:04:05"), len(recs), total, rate, tl.TornSkipped())
-			fmt.Println(sum.Snapshot().Render())
+			fmt.Println(agg.Streaming().Render())
 		}
 		time.Sleep(refresh)
 	}

@@ -6,7 +6,7 @@ import (
 	"math/bits"
 )
 
-// HLL is a HyperLogLog cardinality sketch. The streaming summarizer uses it
+// HLL is a HyperLogLog cardinality sketch. A bounded-mode Aggregate uses it
 // to track the active-GUID and distinct-URL populations in fixed memory:
 // the paper's data set has 26M GUIDs, so an exact set is precisely the kind
 // of state a bounded-memory live pass cannot afford. With 2^14 registers the
@@ -14,7 +14,7 @@ import (
 // the 2% budget the streaming-vs-offline equivalence contract allows.
 //
 // The zero value is not usable; call NewHLL. Methods are not safe for
-// concurrent use — each summarizer shard owns its own sketch and merges at
+// concurrent use — each aggregate shard owns its own sketch and merges at
 // snapshot time.
 type HLL struct {
 	registers []uint8
@@ -68,7 +68,7 @@ func (h *HLL) Estimate() float64 {
 }
 
 // Merge unions another sketch into this one (register-wise max), so sketches
-// built independently — per summarizer shard, or per control-plane node in a
+// built independently — per aggregate shard, or per control-plane node in a
 // fleet — combine without double-counting shared elements.
 func (h *HLL) Merge(o *HLL) {
 	for i, r := range o.registers {

@@ -2,199 +2,36 @@ package analysis
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
 )
 
-// The streaming mode computes the paper's headline measurements — peer-served
-// fraction (§4's ~70–80% offload), per-region activity, intra-AS vs inter-AS
-// byte splits (§5/§6) — incrementally, in memory bounded by the *geography*
-// (regions, countries, ASes) rather than by the number of log entries. The
-// exact-set quantities that cannot be bounded (GUID and URL populations) are
-// tracked with HyperLogLog sketches. Over a sealed segment store the result
-// is equivalent to SummarizeOffline: identical for count- and byte-derived
-// metrics, within the sketch's ~1.6% standard error for cardinalities. The
-// speed medians and Zipf fit remain offline-only — they need the full sample.
+// StreamingSummary is the live-analytics document served on GET
+// /v1/analytics: the Aggregate.Streaming projection. It carries the raw
+// mergeable state — tallies, sets, region rows and matrix, HyperLogLog
+// sketches — so fleet views combine control planes exactly, plus the
+// derived headline metrics.
+type StreamingSummary struct {
+	Tallies
 
-// StreamingSummarizer is a sharded, concurrency-safe aggregator over offline
-// download records. Shards exist to keep concurrent producers (a parallel
-// segment pass, the control plane's CN session loops) off one mutex; Snapshot
-// merges them. Memory is fixed: each shard holds scalar tallies, per-region /
-// per-AS maps bounded by the atlas, and two HLL sketches.
-type StreamingSummarizer struct {
-	shards []*streamShard
+	InterASUploads map[uint32]int64 `json:"interASUploads,omitempty"`
+
+	CountrySet []string `json:"countrySet,omitempty"`
+	ASSet      []uint32 `json:"asSet,omitempty"`
+
+	Regions      []RegionAnalytics           `json:"regions,omitempty"`
+	RegionMatrix map[string]map[string]int64 `json:"regionMatrix,omitempty"` // uploader region → downloader region → bytes
+
+	GUIDSketch []byte `json:"guidSketch,omitempty"`
+	URLSketch  []byte `json:"urlSketch,omitempty"`
+
+	// Derived from the raw state above.
+	ActiveGUIDs  float64 `json:"activeGUIDs"`
+	DistinctURLs float64 `json:"distinctURLs"`
+	DerivedMetrics
 }
 
-type streamShard struct {
-	mu sync.Mutex
-	streamAgg
-}
-
-// streamAgg is the mergeable aggregate state; StreamingSummary embeds its
-// exported mirror.
-type streamAgg struct {
-	downloads                                        int64
-	nInfra, nP2P, doneInfra, doneP2P, abInfra, abP2P int64
-	bytesAll, bytesInfra, bytesPeers                 int64
-	bytesP2PFiles, bytesPeersP2P                     int64
-	effSum                                           float64
-	effN                                             int64
-	intraAS, interAS                                 int64
-	// Streaming-delivery tallies: integer sums mirroring the offline
-	// accumulator exactly, per the equivalence contract.
-	streams           int64
-	streamStartupSum  int64
-	streamRebufCnt    int64
-	streamRebufMs     int64
-	streamMisses      int64
-	streamPlayed      int64
-	streamRescueBytes int64
-	perASUp           map[uint32]int64
-	countries         map[string]struct{}
-	ases              map[uint32]struct{}
-	regions           map[string]*regionAgg
-	matrix            map[string]map[string]int64
-	guids             *HLL
-	urls              *HLL
-}
-
-type regionAgg struct {
-	downloads     int64
-	bytesInfra    int64
-	bytesPeers    int64
-	bytesUploaded int64
-}
-
-func newStreamAgg() streamAgg {
-	return streamAgg{
-		perASUp:   map[uint32]int64{},
-		countries: map[string]struct{}{},
-		ases:      map[uint32]struct{}{},
-		regions:   map[string]*regionAgg{},
-		matrix:    map[string]map[string]int64{},
-		guids:     NewHLL(),
-		urls:      NewHLL(),
-	}
-}
-
-// RegionUnknown is the bucket for records without a region annotation
-// (segments written before the region field existed, or IPs EdgeScape could
-// not resolve).
-const RegionUnknown = "unknown"
-
-// NewStreamingSummarizer creates a summarizer with the given shard count
-// (values below 1 select 1).
-func NewStreamingSummarizer(shards int) *StreamingSummarizer {
-	if shards < 1 {
-		shards = 1
-	}
-	s := &StreamingSummarizer{shards: make([]*streamShard, shards)}
-	for i := range s.shards {
-		s.shards[i] = &streamShard{streamAgg: newStreamAgg()}
-	}
-	return s
-}
-
-// Observe folds one download record into the aggregates. Safe for concurrent
-// use; records of the same GUID land on the same shard.
-func (s *StreamingSummarizer) Observe(d *OfflineDownload) {
-	sh := s.shards[fnv64a(d.GUID)%uint64(len(s.shards))]
-	sh.mu.Lock()
-	sh.observe(d)
-	sh.mu.Unlock()
-}
-
-func (a *streamAgg) regionOf(name string) *regionAgg {
-	if name == "" {
-		name = RegionUnknown
-	}
-	r := a.regions[name]
-	if r == nil {
-		r = &regionAgg{}
-		a.regions[name] = r
-	}
-	return r
-}
-
-func (a *streamAgg) observe(d *OfflineDownload) {
-	a.downloads++
-	a.guids.Add(d.GUID)
-	a.urls.Add(d.URLHash)
-	a.countries[d.Country] = struct{}{}
-	a.ases[d.ASN] = struct{}{}
-
-	total := d.BytesInfra + d.BytesPeers
-	a.bytesAll += total
-	a.bytesInfra += d.BytesInfra
-	a.bytesPeers += d.BytesPeers
-	if d.P2PEnabled {
-		a.nP2P++
-		a.bytesP2PFiles += total
-		a.bytesPeersP2P += d.BytesPeers
-		if total > 0 {
-			a.effSum += 100 * float64(d.BytesPeers) / float64(total)
-			a.effN++
-		}
-	} else {
-		a.nInfra++
-	}
-	switch d.Outcome {
-	case "completed":
-		if d.P2PEnabled {
-			a.doneP2P++
-		} else {
-			a.doneInfra++
-		}
-	case "aborted":
-		if d.P2PEnabled {
-			a.abP2P++
-		} else {
-			a.abInfra++
-		}
-	}
-
-	if st := d.Stream; st != nil {
-		a.streams++
-		a.streamStartupSum += st.StartupDelayMs
-		a.streamRebufCnt += st.RebufferCount
-		a.streamRebufMs += st.RebufferMs
-		a.streamMisses += st.DeadlineMisses
-		a.streamPlayed += st.PiecesPlayed
-		a.streamRescueBytes += st.EdgeRescueBytes
-	}
-
-	reg := a.regionOf(d.Region)
-	reg.downloads++
-	reg.bytesInfra += d.BytesInfra
-	reg.bytesPeers += d.BytesPeers
-
-	toRegion := d.Region
-	if toRegion == "" {
-		toRegion = RegionUnknown
-	}
-	for _, pc := range d.FromPeers {
-		if pc.ASN == d.ASN {
-			a.intraAS += pc.Bytes
-		} else {
-			a.interAS += pc.Bytes
-			a.perASUp[pc.ASN] += pc.Bytes
-		}
-		a.regionOf(pc.Region).bytesUploaded += pc.Bytes
-		from := pc.Region
-		if from == "" {
-			from = RegionUnknown
-		}
-		row := a.matrix[from]
-		if row == nil {
-			row = map[string]int64{}
-			a.matrix[from] = row
-		}
-		row[toRegion] += pc.Bytes
-	}
-}
-
-// RegionAnalytics is one region's live aggregate.
+// RegionAnalytics is one region's row: its downloads' traffic, and the
+// bytes its peers uploaded.
 type RegionAnalytics struct {
 	Region        string  `json:"region"`
 	Downloads     int64   `json:"downloads"`
@@ -204,384 +41,66 @@ type RegionAnalytics struct {
 	OffloadPct    float64 `json:"offloadPct"`
 }
 
-// StreamingSummary is the bounded-memory live analytics document: the raw
-// mergeable tallies (so fleet views combine exactly) plus the derived
-// headline metrics. It is the JSON served on GET /v1/analytics.
-type StreamingSummary struct {
-	Downloads  int64 `json:"downloads"`
-	NInfra     int64 `json:"nInfraOnly"`
-	NP2P       int64 `json:"nP2P"`
-	DoneInfra  int64 `json:"doneInfraOnly"`
-	DoneP2P    int64 `json:"doneP2P"`
-	AbortInfra int64 `json:"abortInfraOnly"`
-	AbortP2P   int64 `json:"abortP2P"`
-
-	BytesAll      int64 `json:"bytesAll"`
-	BytesInfra    int64 `json:"bytesInfra"`
-	BytesPeers    int64 `json:"bytesPeers"`
-	BytesP2PFiles int64 `json:"bytesP2PFiles"`
-	BytesPeersP2P int64 `json:"bytesPeersP2P"`
-
-	EffSum float64 `json:"effSum"`
-	EffN   int64   `json:"effN"`
-
-	IntraASBytes   int64            `json:"intraASBytes"`
-	InterASBytes   int64            `json:"interASBytes"`
-	InterASUploads map[uint32]int64 `json:"interASUploads,omitempty"`
-
-	// Streaming-delivery raw tallies (mergeable integer sums).
-	StreamDownloads       int64 `json:"streamDownloads"`
-	StreamStartupSumMs    int64 `json:"streamStartupSumMs"`
-	StreamRebufferEvents  int64 `json:"streamRebufferEvents"`
-	StreamRebufferMs      int64 `json:"streamRebufferMs"`
-	StreamDeadlineMisses  int64 `json:"streamDeadlineMisses"`
-	StreamPiecesPlayed    int64 `json:"streamPiecesPlayed"`
-	StreamEdgeRescueBytes int64 `json:"streamEdgeRescueBytes"`
-
-	CountrySet []string `json:"countrySet,omitempty"`
-	ASSet      []uint32 `json:"asSet,omitempty"`
-
-	Regions      []RegionAnalytics           `json:"regions,omitempty"`
-	RegionMatrix map[string]map[string]int64 `json:"regionMatrix,omitempty"`
-
-	GUIDSketch []byte `json:"guidSketch,omitempty"`
-	URLSketch  []byte `json:"urlSketch,omitempty"`
-
-	// Derived headline metrics (recomputed by Finalize after a Merge).
-	ActiveGUIDs                float64 `json:"activeGUIDs"`
-	DistinctURLs               float64 `json:"distinctURLs"`
-	Countries                  int     `json:"countries"`
-	ASes                       int     `json:"ases"`
-	OffloadPct                 float64 `json:"offloadPct"`
-	PctBytesP2PFiles           float64 `json:"pctBytesP2PFiles"`
-	MeanPeerEfficiencyPct      float64 `json:"meanPeerEfficiencyPct"`
-	AggregatePeerEfficiencyPct float64 `json:"aggregatePeerEfficiencyPct"`
-	CompletionInfraPct         float64 `json:"completionInfraPct"`
-	CompletionP2PPct           float64 `json:"completionP2PPct"`
-	AbortInfraPct              float64 `json:"abortInfraPct"`
-	AbortP2PPct                float64 `json:"abortP2PPct"`
-	IntraASPct                 float64 `json:"intraASPct"`
-	HeavyASes                  int     `json:"heavyASes"`
-	HeavySharePct              float64 `json:"heavySharePct"`
-	StreamStartupMeanMs        float64 `json:"streamStartupMeanMs"`
-	StreamDeadlineMissPct      float64 `json:"streamDeadlineMissPct"`
-}
-
-// Snapshot merges every shard and returns the finalized summary. It may be
-// called at any time; observation continues concurrently.
-func (s *StreamingSummarizer) Snapshot() StreamingSummary {
-	merged := newStreamAgg()
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		merged.merge(&sh.streamAgg)
-		sh.mu.Unlock()
-	}
-	return merged.summary()
-}
-
-// ActiveGUIDs estimates the distinct-GUID population seen so far without
-// building the full summary; the control plane's metrics gauge uses it.
-func (s *StreamingSummarizer) ActiveGUIDs() float64 {
-	g := NewHLL()
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		g.Merge(sh.guids)
-		sh.mu.Unlock()
-	}
-	return g.Estimate()
-}
-
-func (a *streamAgg) merge(o *streamAgg) {
-	a.downloads += o.downloads
-	a.nInfra += o.nInfra
-	a.nP2P += o.nP2P
-	a.doneInfra += o.doneInfra
-	a.doneP2P += o.doneP2P
-	a.abInfra += o.abInfra
-	a.abP2P += o.abP2P
-	a.bytesAll += o.bytesAll
-	a.bytesInfra += o.bytesInfra
-	a.bytesPeers += o.bytesPeers
-	a.bytesP2PFiles += o.bytesP2PFiles
-	a.bytesPeersP2P += o.bytesPeersP2P
-	a.effSum += o.effSum
-	a.effN += o.effN
-	a.intraAS += o.intraAS
-	a.interAS += o.interAS
-	a.streams += o.streams
-	a.streamStartupSum += o.streamStartupSum
-	a.streamRebufCnt += o.streamRebufCnt
-	a.streamRebufMs += o.streamRebufMs
-	a.streamMisses += o.streamMisses
-	a.streamPlayed += o.streamPlayed
-	a.streamRescueBytes += o.streamRescueBytes
-	for asn, b := range o.perASUp {
-		a.perASUp[asn] += b
-	}
-	for c := range o.countries {
-		a.countries[c] = struct{}{}
-	}
-	for asn := range o.ases {
-		a.ases[asn] = struct{}{}
-	}
-	for name, r := range o.regions {
-		dst := a.regionOf(name)
-		dst.downloads += r.downloads
-		dst.bytesInfra += r.bytesInfra
-		dst.bytesPeers += r.bytesPeers
-		dst.bytesUploaded += r.bytesUploaded
-	}
-	for from, row := range o.matrix {
-		dst := a.matrix[from]
-		if dst == nil {
-			dst = map[string]int64{}
-			a.matrix[from] = dst
-		}
-		for to, b := range row {
-			dst[to] += b
-		}
-	}
-	a.guids.Merge(o.guids)
-	a.urls.Merge(o.urls)
-}
-
-func (a *streamAgg) summary() StreamingSummary {
-	s := StreamingSummary{
-		Downloads: a.downloads,
-		NInfra:    a.nInfra, NP2P: a.nP2P,
-		DoneInfra: a.doneInfra, DoneP2P: a.doneP2P,
-		AbortInfra: a.abInfra, AbortP2P: a.abP2P,
-		BytesAll: a.bytesAll, BytesInfra: a.bytesInfra, BytesPeers: a.bytesPeers,
-		BytesP2PFiles: a.bytesP2PFiles, BytesPeersP2P: a.bytesPeersP2P,
-		EffSum: a.effSum, EffN: a.effN,
-		IntraASBytes: a.intraAS, InterASBytes: a.interAS,
-		StreamDownloads:       a.streams,
-		StreamStartupSumMs:    a.streamStartupSum,
-		StreamRebufferEvents:  a.streamRebufCnt,
-		StreamRebufferMs:      a.streamRebufMs,
-		StreamDeadlineMisses:  a.streamMisses,
-		StreamPiecesPlayed:    a.streamPlayed,
-		StreamEdgeRescueBytes: a.streamRescueBytes,
-		GUIDSketch:            a.guids.Bytes(), URLSketch: a.urls.Bytes(),
-	}
-	if len(a.perASUp) > 0 {
-		s.InterASUploads = make(map[uint32]int64, len(a.perASUp))
-		for asn, b := range a.perASUp {
-			s.InterASUploads[asn] = b
-		}
-	}
-	s.CountrySet = make([]string, 0, len(a.countries))
-	for c := range a.countries {
-		s.CountrySet = append(s.CountrySet, c)
-	}
-	sort.Strings(s.CountrySet)
-	s.ASSet = make([]uint32, 0, len(a.ases))
-	for asn := range a.ases {
-		s.ASSet = append(s.ASSet, asn)
-	}
-	sort.Slice(s.ASSet, func(i, j int) bool { return s.ASSet[i] < s.ASSet[j] })
-	names := make([]string, 0, len(a.regions))
-	for name := range a.regions {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		r := a.regions[name]
-		ra := RegionAnalytics{
-			Region: name, Downloads: r.downloads,
-			BytesInfra: r.bytesInfra, BytesPeers: r.bytesPeers,
-			BytesUploaded: r.bytesUploaded,
-		}
-		if t := r.bytesInfra + r.bytesPeers; t > 0 {
-			ra.OffloadPct = 100 * float64(r.bytesPeers) / float64(t)
-		}
-		s.Regions = append(s.Regions, ra)
-	}
-	if len(a.matrix) > 0 {
-		s.RegionMatrix = make(map[string]map[string]int64, len(a.matrix))
-		for from, row := range a.matrix {
-			dst := make(map[string]int64, len(row))
-			for to, b := range row {
-				dst[to] = b
-			}
-			s.RegionMatrix[from] = dst
-		}
-	}
-	s.Finalize()
-	return s
-}
-
-// Finalize recomputes the derived headline metrics from the raw tallies.
-// Call it after mutating the raw fields (Merge does this itself).
-func (s *StreamingSummary) Finalize() {
-	if g, err := HLLFromBytes(s.GUIDSketch); err == nil {
-		s.ActiveGUIDs = g.Estimate()
-	}
-	if u, err := HLLFromBytes(s.URLSketch); err == nil {
-		s.DistinctURLs = u.Estimate()
-	}
-	s.Countries = len(s.CountrySet)
-	s.ASes = len(s.ASSet)
-	pct := func(n, d int64) float64 {
-		if d == 0 {
-			return 0
-		}
-		return 100 * float64(n) / float64(d)
-	}
-	s.OffloadPct = pct(s.BytesPeers, s.BytesAll)
-	s.PctBytesP2PFiles = pct(s.BytesP2PFiles, s.BytesAll)
-	s.AggregatePeerEfficiencyPct = pct(s.BytesPeersP2P, s.BytesP2PFiles)
-	s.MeanPeerEfficiencyPct = 0
-	if s.EffN > 0 {
-		s.MeanPeerEfficiencyPct = s.EffSum / float64(s.EffN)
-	}
-	s.CompletionInfraPct = pct(s.DoneInfra, s.NInfra)
-	s.CompletionP2PPct = pct(s.DoneP2P, s.NP2P)
-	s.AbortInfraPct = pct(s.AbortInfra, s.NInfra)
-	s.AbortP2PPct = pct(s.AbortP2P, s.NP2P)
-	s.IntraASPct = pct(s.IntraASBytes, s.IntraASBytes+s.InterASBytes)
-	s.HeavyASes, s.HeavySharePct = heavyUploaders(s.InterASUploads)
-	s.StreamStartupMeanMs = 0
-	if s.StreamDownloads > 0 {
-		s.StreamStartupMeanMs = float64(s.StreamStartupSumMs) / float64(s.StreamDownloads)
-	}
-	s.StreamDeadlineMissPct = pct(s.StreamDeadlineMisses, s.StreamPiecesPlayed)
-}
-
-// Merge folds another summary into this one — the monitor's fleet view over
-// N control planes. Counts and byte totals sum; GUID/URL sketches union, so
-// a peer reporting through two CPs is still counted once; derived metrics
-// are recomputed.
-func (s *StreamingSummary) Merge(o *StreamingSummary) error {
-	s.Downloads += o.Downloads
-	s.NInfra += o.NInfra
-	s.NP2P += o.NP2P
-	s.DoneInfra += o.DoneInfra
-	s.DoneP2P += o.DoneP2P
-	s.AbortInfra += o.AbortInfra
-	s.AbortP2P += o.AbortP2P
-	s.BytesAll += o.BytesAll
-	s.BytesInfra += o.BytesInfra
-	s.BytesPeers += o.BytesPeers
-	s.BytesP2PFiles += o.BytesP2PFiles
-	s.BytesPeersP2P += o.BytesPeersP2P
-	s.EffSum += o.EffSum
-	s.EffN += o.EffN
-	s.IntraASBytes += o.IntraASBytes
-	s.InterASBytes += o.InterASBytes
-	s.StreamDownloads += o.StreamDownloads
-	s.StreamStartupSumMs += o.StreamStartupSumMs
-	s.StreamRebufferEvents += o.StreamRebufferEvents
-	s.StreamRebufferMs += o.StreamRebufferMs
-	s.StreamDeadlineMisses += o.StreamDeadlineMisses
-	s.StreamPiecesPlayed += o.StreamPiecesPlayed
-	s.StreamEdgeRescueBytes += o.StreamEdgeRescueBytes
-	if len(o.InterASUploads) > 0 && s.InterASUploads == nil {
-		s.InterASUploads = map[uint32]int64{}
-	}
-	for asn, b := range o.InterASUploads {
-		s.InterASUploads[asn] += b
-	}
-	s.CountrySet = mergeSortedStrings(s.CountrySet, o.CountrySet)
-	s.ASSet = mergeSortedUint32(s.ASSet, o.ASSet)
-	s.Regions = mergeRegions(s.Regions, o.Regions)
-	if len(o.RegionMatrix) > 0 && s.RegionMatrix == nil {
-		s.RegionMatrix = map[string]map[string]int64{}
-	}
-	for from, row := range o.RegionMatrix {
-		dst := s.RegionMatrix[from]
-		if dst == nil {
-			dst = map[string]int64{}
-			s.RegionMatrix[from] = dst
-		}
-		for to, b := range row {
-			dst[to] += b
-		}
-	}
+// aggregate decodes the document back into a bounded aggregate. It fails,
+// before building anything, on a malformed sketch. A region's upload total
+// is recomputed from the matrix, which carries the same bytes.
+func (s *StreamingSummary) aggregate() (*Aggregate, error) {
 	g, err := HLLFromBytes(s.GUIDSketch)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	og, err := HLLFromBytes(o.GUIDSketch)
-	if err != nil {
-		return err
-	}
-	g.Merge(og)
-	s.GUIDSketch = g.Bytes()
 	u, err := HLLFromBytes(s.URLSketch)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	ou, err := HLLFromBytes(o.URLSketch)
+	a := NewAggregate(Bounded)
+	a.t = s.Tallies
+	a.guidHLL, a.urlHLL = g, u
+	for asn, b := range s.InterASUploads {
+		a.perASUp[asn] = b
+	}
+	for _, c := range s.CountrySet {
+		a.countries[c] = struct{}{}
+	}
+	for _, asn := range s.ASSet {
+		a.ases[asn] = struct{}{}
+	}
+	for _, r := range s.Regions {
+		reg := a.region(r.Region)
+		reg.downloads, reg.bytesInfra, reg.bytesPeers = r.Downloads, r.BytesInfra, r.BytesPeers
+	}
+	for from, row := range s.RegionMatrix {
+		for to, b := range row {
+			a.region(to).receive(from, b)
+		}
+	}
+	return a, nil
+}
+
+// Validate reports whether the document can be merged: its sketches must
+// be well formed.
+func (s *StreamingSummary) Validate() error {
+	_, err := s.aggregate()
+	return err
+}
+
+// Merge folds another document into this one — the monitor's fleet view
+// over N control planes. Both are decoded into aggregates, merged, and
+// projected back: tallies sum, GUID/URL sketches union (a peer reporting
+// through two CPs counts once), and the derived metrics are recomputed.
+// On a malformed document Merge returns an error and leaves s unchanged.
+func (s *StreamingSummary) Merge(o *StreamingSummary) error {
+	a, err := s.aggregate()
 	if err != nil {
 		return err
 	}
-	u.Merge(ou)
-	s.URLSketch = u.Bytes()
-	s.Finalize()
+	b, err := o.aggregate()
+	if err != nil {
+		return err
+	}
+	a.Merge(b)
+	*s = a.Streaming()
 	return nil
-}
-
-func mergeSortedStrings(a, b []string) []string {
-	seen := make(map[string]struct{}, len(a)+len(b))
-	for _, v := range a {
-		seen[v] = struct{}{}
-	}
-	for _, v := range b {
-		seen[v] = struct{}{}
-	}
-	out := make([]string, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func mergeSortedUint32(a, b []uint32) []uint32 {
-	seen := make(map[uint32]struct{}, len(a)+len(b))
-	for _, v := range a {
-		seen[v] = struct{}{}
-	}
-	for _, v := range b {
-		seen[v] = struct{}{}
-	}
-	out := make([]uint32, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func mergeRegions(a, b []RegionAnalytics) []RegionAnalytics {
-	byName := make(map[string]RegionAnalytics, len(a)+len(b))
-	for _, r := range a {
-		byName[r.Region] = r
-	}
-	for _, r := range b {
-		cur, ok := byName[r.Region]
-		if !ok {
-			byName[r.Region] = r
-			continue
-		}
-		cur.Downloads += r.Downloads
-		cur.BytesInfra += r.BytesInfra
-		cur.BytesPeers += r.BytesPeers
-		cur.BytesUploaded += r.BytesUploaded
-		byName[r.Region] = cur
-	}
-	out := make([]RegionAnalytics, 0, len(byName))
-	for _, r := range byName {
-		if t := r.BytesInfra + r.BytesPeers; t > 0 {
-			r.OffloadPct = 100 * float64(r.BytesPeers) / float64(t)
-		} else {
-			r.OffloadPct = 0
-		}
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Region < out[j].Region })
-	return out
 }
 
 // humanBytes renders a byte count for the dashboard tables.

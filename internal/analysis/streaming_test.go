@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -109,43 +110,183 @@ func requireEquivalent(t *testing.T, off OfflineSummary, st StreamingSummary) {
 	sketchClose("DistinctURLs", off.DistinctURLs, st.DistinctURLs)
 }
 
-func TestStreamingEquivalenceSingleShard(t *testing.T) {
-	dls := synthDownloads(20_000, 7)
-	off := SummarizeOffline(dls)
-	s := NewStreamingSummarizer(1)
-	for i := range dls {
-		s.Observe(&dls[i])
+// requireSameSummary checks a sharded or merged exact pass against the
+// sequential one: integer fields exactly, float fields to 1e-9 relative
+// (only the EffSum accumulation order differs).
+func requireSameSummary(t *testing.T, got, want OfflineSummary) {
+	t.Helper()
+	var walk func(path string, g, w reflect.Value)
+	walk = func(path string, g, w reflect.Value) {
+		for i := 0; i < g.NumField(); i++ {
+			name := path + g.Type().Field(i).Name
+			switch gf, wf := g.Field(i), w.Field(i); gf.Kind() {
+			case reflect.Struct:
+				walk(name+".", gf, wf)
+			case reflect.Int, reflect.Int64:
+				if gf.Int() != wf.Int() {
+					t.Errorf("%s: got %d, want %d", name, gf.Int(), wf.Int())
+				}
+			case reflect.Float64:
+				if a, b := gf.Float(), wf.Float(); math.Abs(a-b) > 1e-9*math.Max(1, math.Abs(b)) {
+					t.Errorf("%s: got %v, want %v", name, a, b)
+				}
+			default:
+				t.Fatalf("%s: unhandled kind %s", name, gf.Kind())
+			}
+		}
 	}
-	requireEquivalent(t, off, s.Snapshot())
+	walk("", reflect.ValueOf(got), reflect.ValueOf(want))
 }
 
-func TestStreamingEquivalenceSharded(t *testing.T) {
-	dls := synthDownloads(20_000, 11)
-	off := SummarizeOffline(dls)
-	s := NewStreamingSummarizer(8)
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < len(dls); i += 4 {
-				s.Observe(&dls[i])
-			}
-		}(w)
+// equivalenceFixture is the shared input of the equivalence tests: a
+// synthetic download set and its sequential SummarizeOffline.
+func equivalenceFixture() ([]OfflineDownload, OfflineSummary) {
+	dls := synthDownloads(20_000, 7)
+	return dls, SummarizeOffline(dls)
+}
+
+// shardedRun feeds dls into a Sharded of the given shard count from the
+// given number of concurrent producers.
+func shardedRun(dls []OfflineDownload, shards, producers int) func(Mode) *Aggregate {
+	return func(mode Mode) *Aggregate {
+		s := newSharded(mode, shards)
+		var wg sync.WaitGroup
+		for w := 0; w < producers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := w; i < len(dls); i += producers {
+					s.Add(&dls[i])
+				}
+			}(w)
+		}
+		wg.Wait()
+		return s.Aggregate()
 	}
-	wg.Wait()
-	requireEquivalent(t, off, s.Snapshot())
+}
+
+// equivalenceCase is one way of feeding the fixture into an aggregate.
+type equivalenceCase struct {
+	name string
+	run  func(Mode) *Aggregate
+}
+
+// requireEquivalenceCases is the equivalence contract of the one
+// aggregate: however the records are fed, the exact-mode summary matches
+// the sequential SummarizeOffline, and the bounded-mode document matches it
+// too (distinct counts within the sketch budget).
+func requireEquivalenceCases(t *testing.T, want OfflineSummary, cases []equivalenceCase) {
+	t.Helper()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			requireSameSummary(t, tc.run(Exact).Summary(), want)
+			requireEquivalent(t, want, tc.run(Bounded).Streaming())
+		})
+	}
+}
+
+// TestStreamingEquivalenceSingleShard: one shard fed by one producer.
+func TestStreamingEquivalenceSingleShard(t *testing.T) {
+	dls, want := equivalenceFixture()
+	requireEquivalenceCases(t, want, []equivalenceCase{
+		{"1 shard", shardedRun(dls, 1, 1)},
+	})
+}
+
+// TestStreamingEquivalenceSharded: GUID-routed shards, fed sequentially
+// and by concurrent producers.
+func TestStreamingEquivalenceSharded(t *testing.T) {
+	dls, want := equivalenceFixture()
+	requireEquivalenceCases(t, want, []equivalenceCase{
+		{"16 shards", shardedRun(dls, 16, 1)},
+		{"4 producers", shardedRun(dls, 8, 4)},
+	})
+}
+
+// TestAggregateEquivalence: records split between two aggregates and
+// merged, directly and through the JSON fleet path.
+func TestAggregateEquivalence(t *testing.T) {
+	dls, want := equivalenceFixture()
+	requireEquivalenceCases(t, want, []equivalenceCase{
+		{"A∪B merged", func(mode Mode) *Aggregate {
+			a, b := NewAggregate(mode), NewAggregate(mode)
+			for i := range dls {
+				if i < len(dls)/3 {
+					a.Add(&dls[i])
+				} else {
+					b.Add(&dls[i])
+				}
+			}
+			a.Merge(b)
+			return a
+		}},
+	})
+
+	// The fleet path: two documents through JSON and StreamingSummary.Merge
+	// must equal merging the aggregates directly.
+	t.Run("JSON merge", func(t *testing.T) {
+		a, b := NewAggregate(Bounded), NewAggregate(Bounded)
+		for i := range dls {
+			if i%2 == 0 {
+				a.Add(&dls[i])
+			} else {
+				b.Add(&dls[i])
+			}
+		}
+		var docs [2]StreamingSummary
+		for i, agg := range []*Aggregate{a, b} {
+			raw, err := json.Marshal(agg.Streaming())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := json.Unmarshal(raw, &docs[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := docs[0].Merge(&docs[1]); err != nil {
+			t.Fatal(err)
+		}
+		a.Merge(b)
+		direct := a.Streaming()
+		if !reflect.DeepEqual(docs[0], direct) {
+			t.Errorf("merged documents differ from the merged aggregate:\n%+v\nvs\n%+v", docs[0], direct)
+		}
+		requireEquivalent(t, want, docs[0])
+	})
+}
+
+// TestStreamingSummaryMergeAllOrNothing: a document with a malformed
+// sketch must not be half-merged — Merge fails and the receiver keeps its
+// tallies and headline metrics.
+func TestStreamingSummaryMergeAllOrNothing(t *testing.T) {
+	var fleet, good, bad StreamingSummary
+	good.Downloads, good.BytesAll, good.BytesInfra, good.BytesPeers = 1, 100, 50, 50
+	bad.Downloads, bad.BytesAll, bad.BytesInfra = 1, 100, 100
+	bad.GUIDSketch = []byte{1, 2, 3}
+	if err := fleet.Merge(&good); err != nil {
+		t.Fatal(err)
+	}
+	if err := fleet.Merge(&bad); err == nil {
+		t.Fatal("merge accepted a 3-byte GUID sketch")
+	}
+	if fleet.BytesAll != 100 || fleet.Downloads != 1 || fleet.OffloadPct != 50 {
+		t.Errorf("failed merge changed the fleet view: bytesAll %d, downloads %d, offload %.1f%%",
+			fleet.BytesAll, fleet.Downloads, fleet.OffloadPct)
+	}
+	if err := bad.Validate(); err == nil {
+		t.Error("Validate accepted a 3-byte GUID sketch")
+	}
 }
 
 func TestStreamingRegionAggregates(t *testing.T) {
 	dls := synthDownloads(5_000, 3)
-	s := NewStreamingSummarizer(4)
+	s := NewAggregate(Bounded)
 	var wantInfra, wantPeers int64
 	perRegionPeers := map[string]int64{}
 	uploadedTotal := int64(0)
 	for i := range dls {
 		d := &dls[i]
-		s.Observe(d)
+		s.Add(d)
 		wantInfra += d.BytesInfra
 		wantPeers += d.BytesPeers
 		perRegionPeers[d.Region] += d.BytesPeers
@@ -153,7 +294,7 @@ func TestStreamingRegionAggregates(t *testing.T) {
 			uploadedTotal += pc.Bytes
 		}
 	}
-	sum := s.Snapshot()
+	sum := s.Streaming()
 	if sum.BytesInfra != wantInfra || sum.BytesPeers != wantPeers {
 		t.Fatalf("byte totals: got (%d, %d), want (%d, %d)",
 			sum.BytesInfra, sum.BytesPeers, wantInfra, wantPeers)
@@ -192,14 +333,14 @@ func TestStreamingRegionAggregates(t *testing.T) {
 func TestStreamingSummaryMergeFleet(t *testing.T) {
 	all := synthDownloads(12_000, 19)
 	// Split the log across two "control planes" and merge their summaries;
-	// the fleet view must match one summarizer that saw everything.
-	s1, s2, whole := NewStreamingSummarizer(2), NewStreamingSummarizer(2), NewStreamingSummarizer(2)
+	// the fleet view must match one aggregate that saw everything.
+	s1, s2, whole := newSharded(Bounded, 2), newSharded(Bounded, 2), newSharded(Bounded, 2)
 	for i := range all {
-		whole.Observe(&all[i])
+		whole.Add(&all[i])
 		if i%2 == 0 {
-			s1.Observe(&all[i])
+			s1.Add(&all[i])
 		} else {
-			s2.Observe(&all[i])
+			s2.Add(&all[i])
 		}
 	}
 	// Round-trip each part through JSON the way the monitor scrapes it.
@@ -207,7 +348,7 @@ func TestStreamingSummaryMergeFleet(t *testing.T) {
 	for _, rt := range []struct {
 		src StreamingSummary
 		dst *StreamingSummary
-	}{{s1.Snapshot(), &a}, {s2.Snapshot(), &b}} {
+	}{{s1.Aggregate().Streaming(), &a}, {s2.Aggregate().Streaming(), &b}} {
 		raw, err := json.Marshal(rt.src)
 		if err != nil {
 			t.Fatal(err)
@@ -219,7 +360,7 @@ func TestStreamingSummaryMergeFleet(t *testing.T) {
 	if err := a.Merge(&b); err != nil {
 		t.Fatal(err)
 	}
-	want := whole.Snapshot()
+	want := whole.Aggregate().Streaming()
 	if a.Downloads != want.Downloads || a.BytesPeers != want.BytesPeers ||
 		a.IntraASBytes != want.IntraASBytes || a.InterASBytes != want.InterASBytes {
 		t.Fatalf("merged totals diverge: got (%d dl, %d peer, %d intra, %d inter), want (%d, %d, %d, %d)",
@@ -246,9 +387,9 @@ func TestStreamingSummaryMergeFleet(t *testing.T) {
 }
 
 func TestStreamingUnknownRegionBucket(t *testing.T) {
-	s := NewStreamingSummarizer(1)
-	s.Observe(&OfflineDownload{GUID: "g", URLHash: "u", BytesInfra: 10, Outcome: "completed"})
-	sum := s.Snapshot()
+	s := NewAggregate(Bounded)
+	s.Add(&OfflineDownload{GUID: "g", URLHash: "u", BytesInfra: 10, Outcome: "completed"})
+	sum := s.Streaming()
 	if len(sum.Regions) != 1 || sum.Regions[0].Region != RegionUnknown {
 		t.Fatalf("unannotated record regions = %+v, want one %q bucket", sum.Regions, RegionUnknown)
 	}
@@ -256,11 +397,11 @@ func TestStreamingUnknownRegionBucket(t *testing.T) {
 
 func TestStreamingRenderMentionsHeadlines(t *testing.T) {
 	dls := synthDownloads(1_000, 5)
-	s := NewStreamingSummarizer(2)
+	s := NewAggregate(Bounded)
 	for i := range dls {
-		s.Observe(&dls[i])
+		s.Add(&dls[i])
 	}
-	out := s.Snapshot().Render()
+	out := s.Streaming().Render()
 	for _, want := range []string{"offload:", "intra-AS", "region", "NA-East"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Render() missing %q:\n%s", want, out)

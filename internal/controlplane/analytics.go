@@ -12,12 +12,12 @@ import (
 
 // cpAnalytics is the control plane's live paper-metrics pipeline: every
 // accepted download record — whether it arrived on the in-band StatsReport
-// path or through a logpipe batch — is folded into a sharded streaming
-// summarizer, and the headline quantities are mirrored onto Prometheus
+// path or through a logpipe batch — is folded into a sharded bounded-mode
+// aggregate, and the headline quantities are mirrored onto Prometheus
 // series. The full document is served on GET /v1/analytics for the monitor's
 // fleet view and the report dashboard.
 type cpAnalytics struct {
-	summarizer *analysis.StreamingSummarizer
+	agg *analysis.Sharded
 
 	// Per-region running byte totals, updated atomically on the record path
 	// so the offload gauges cost O(1) per record instead of a full snapshot.
@@ -40,10 +40,6 @@ type cpAnalytics struct {
 	streamRescueBytes *telemetry.Counter
 }
 
-// analyticsShards balances CN session-loop concurrency against snapshot
-// merge cost; the summarizer keys shards by GUID, so any value works.
-const analyticsShards = 8
-
 // guidEstimateEvery bounds how often the record path pays for an HLL merge
 // to refresh the active-GUID gauge.
 const guidEstimateEvery = 64
@@ -53,8 +49,8 @@ const guidEstimateEvery = 64
 // first record, so dashboards see series, not gaps.
 func newCPAnalytics(reg *telemetry.Registry) *cpAnalytics {
 	a := &cpAnalytics{
-		summarizer: analysis.NewStreamingSummarizer(analyticsShards),
-		regionIdx:  make(map[string]int, geo.NumRegions),
+		agg:       analysis.NewSharded(analysis.Bounded),
+		regionIdx: make(map[string]int, geo.NumRegions),
 		intraAS: reg.Counter("cp_intra_as_bytes_total",
 			"peer-uploaded bytes served within the downloader's AS", nil),
 		interAS: reg.Counter("cp_inter_as_bytes_total",
@@ -84,7 +80,7 @@ func newCPAnalytics(reg *telemetry.Registry) *cpAnalytics {
 // CN session loops and the ingest handler; everything here is lock-free or
 // sharded.
 func (a *cpAnalytics) observe(d *analysis.OfflineDownload) {
-	a.summarizer.Observe(d)
+	a.agg.Add(d)
 	if r, ok := a.regionIdx[d.Region]; ok {
 		infra := a.regionInfra[r].Add(d.BytesInfra)
 		peers := a.regionPeers[r].Add(d.BytesPeers)
@@ -119,7 +115,7 @@ func (a *cpAnalytics) observe(d *analysis.OfflineDownload) {
 		}
 	}
 	if a.observed.Add(1)%guidEstimateEvery == 0 {
-		a.activeGUIDs.Set(a.summarizer.ActiveGUIDs())
+		a.activeGUIDs.Set(a.agg.DistinctGUIDs())
 	}
 }
 
@@ -127,7 +123,7 @@ func (a *cpAnalytics) observe(d *analysis.OfflineDownload) {
 // active-GUID gauge is refreshed on the way so a scrape that reads both
 // surfaces sees consistent numbers.
 func (cp *ControlPlane) Analytics() analysis.StreamingSummary {
-	sum := cp.analytics.summarizer.Snapshot()
+	sum := cp.analytics.agg.Aggregate().Streaming()
 	cp.analytics.activeGUIDs.Set(sum.ActiveGUIDs)
 	return sum
 }

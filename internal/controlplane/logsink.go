@@ -27,8 +27,8 @@ func (cp *ControlPlane) recordDownload(rec accounting.DownloadRecord) error {
 		return err
 	}
 	// Every accepted record feeds the live analytics, whether or not a
-	// durable store is configured; the streaming summarizer is the in-memory
-	// half of the same pipeline.
+	// durable store is configured; the bounded-mode aggregate is the
+	// in-memory half of the same pipeline.
 	off := analysis.OfflineFromRecord(&rec, cp.geoLookup)
 	cp.analytics.observe(&off)
 	if st := cp.cfg.LogStore; st != nil {

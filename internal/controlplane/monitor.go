@@ -279,6 +279,17 @@ func (m *Monitor) ScrapeOnce() {
 		go func(name, base string) {
 			defer wg.Done()
 			snap, err := fetchSnapshot(client, base+"/v1/telemetry")
+			var sum analysis.StreamingSummary
+			aerr := errNoAnalytics
+			if err == nil {
+				// Analytics is optional per component: the control plane
+				// serves it, edges and peers 404 — which is a skip, not an
+				// error. Any other failure, a malformed document included,
+				// fails the scrape.
+				if sum, aerr = fetchAnalytics(client, base+"/v1/analytics"); aerr != errNoAnalytics {
+					err = aerr
+				}
+			}
 			if err != nil {
 				m.scrapeErrors.Inc()
 				m.scrapeMu.Lock()
@@ -287,9 +298,6 @@ func (m *Monitor) ScrapeOnce() {
 				m.scrapeMu.Unlock()
 				return
 			}
-			// Analytics is optional per component: the control plane serves
-			// it, edges and peers 404 — which is a skip, not an error.
-			sum, aerr := fetchAnalytics(client, base+"/v1/analytics")
 			m.scrapes.Inc()
 			m.scrapeMu.Lock()
 			m.scraped[name] = snap
@@ -356,8 +364,13 @@ func fetchAnalytics(client *http.Client, url string) (analysis.StreamingSummary,
 	if resp.StatusCode != http.StatusOK {
 		return sum, fmt.Errorf("scrape %s: status %d", url, resp.StatusCode)
 	}
-	err = json.NewDecoder(io.LimitReader(resp.Body, 16<<20)).Decode(&sum)
-	return sum, err
+	if err := json.NewDecoder(io.LimitReader(resp.Body, 16<<20)).Decode(&sum); err != nil {
+		return sum, fmt.Errorf("scrape %s: %w", url, err)
+	}
+	if err := sum.Validate(); err != nil {
+		return sum, fmt.Errorf("scrape %s: %w", url, err)
+	}
+	return sum, nil
 }
 
 // StartScraping scrapes all targets every interval until the monitor closes
@@ -431,8 +444,8 @@ func (m *Monitor) FleetAnalytics() (analysis.StreamingSummary, bool) {
 	var fleet analysis.StreamingSummary
 	for _, name := range names {
 		sum := m.scrapedAnalytics[name]
-		// A malformed sketch from one CP must not take down the fleet view;
-		// its scalar tallies merged already, the sketch is skipped.
+		// Scrapes validate every document, so a merge cannot fail here;
+		// if one did, Merge leaves the fleet view unchanged.
 		_ = fleet.Merge(&sum)
 	}
 	return fleet, true

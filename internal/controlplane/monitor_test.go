@@ -183,9 +183,9 @@ func TestMonitorFleetAnalytics(t *testing.T) {
 	m := startMonitor(t)
 
 	mkCP := func(guids []string, peers int64) *httptest.Server {
-		s := analysis.NewStreamingSummarizer(1)
+		s := analysis.NewAggregate(analysis.Bounded)
 		for _, g := range guids {
-			s.Observe(&analysis.OfflineDownload{
+			s.Add(&analysis.OfflineDownload{
 				GUID: g, URLHash: "u1", Region: "EU-West",
 				BytesInfra: 100, BytesPeers: peers, Outcome: "completed",
 			})
@@ -194,7 +194,7 @@ func TestMonitorFleetAnalytics(t *testing.T) {
 		reg := telemetry.NewRegistry()
 		telemetry.Mount(mux, reg)
 		mux.HandleFunc("GET /v1/analytics", func(w http.ResponseWriter, _ *http.Request) {
-			json.NewEncoder(w).Encode(s.Snapshot())
+			json.NewEncoder(w).Encode(s.Streaming())
 		})
 		srv := httptest.NewServer(mux)
 		t.Cleanup(srv.Close)
@@ -244,6 +244,41 @@ func TestMonitorFleetAnalytics(t *testing.T) {
 	}
 	if served.Downloads != 4 || served.OffloadPct != fleet.OffloadPct {
 		t.Errorf("served fleet analytics %+v diverges from FleetAnalytics", served)
+	}
+}
+
+// TestMonitorRejectsMalformedAnalytics: an analytics document whose sketch
+// cannot be merged fails that target's scrape — counted, shown on health,
+// and kept out of the fleet view — instead of half-merging into it.
+func TestMonitorRejectsMalformedAnalytics(t *testing.T) {
+	m := startMonitor(t)
+	serve := func(doc analysis.StreamingSummary) *httptest.Server {
+		mux := http.NewServeMux()
+		telemetry.Mount(mux, telemetry.NewRegistry())
+		mux.HandleFunc("GET /v1/analytics", func(w http.ResponseWriter, _ *http.Request) {
+			json.NewEncoder(w).Encode(doc)
+		})
+		srv := httptest.NewServer(mux)
+		t.Cleanup(srv.Close)
+		return srv
+	}
+	var good, bad analysis.StreamingSummary
+	good.Downloads, good.BytesAll, good.BytesInfra, good.BytesPeers = 1, 100, 50, 50
+	bad.Downloads, bad.BytesAll, bad.BytesInfra = 1, 100, 100
+	bad.GUIDSketch = []byte{1, 2, 3}
+	m.SetScrapeTargets(map[string]string{"good": serve(good).URL, "bad": serve(bad).URL})
+	m.ScrapeOnce()
+
+	if got := m.Metrics().Snapshot().Counters["monitor_scrape_errors_total"]; got != 1 {
+		t.Errorf("monitor_scrape_errors_total = %d, want 1 (the malformed document)", got)
+	}
+	fleet, ok := m.FleetAnalytics()
+	if !ok {
+		t.Fatal("no fleet analytics from the well-formed target")
+	}
+	if fleet.Downloads != 1 || fleet.BytesAll != 100 || fleet.OffloadPct != 50 {
+		t.Errorf("fleet view (downloads %d, bytesAll %d, offload %.1f%%), want (1, 100, 50.0%%)",
+			fleet.Downloads, fleet.BytesAll, fleet.OffloadPct)
 	}
 }
 

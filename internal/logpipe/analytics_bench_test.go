@@ -66,23 +66,23 @@ func writeBenchStore(tb testing.TB, dir string, segments, recsPerSeg int) int {
 }
 
 // BenchmarkStreamingSummarize is the throughput canary for the live-analytics
-// path: one full streaming pass (parallel segment decode → streaming
-// summarizer) over a pre-built sealed store. Reports records/sec and the
+// path: one full streaming pass (parallel segment decode → bounded-mode
+// aggregate) over a pre-built sealed store. Reports records/sec and the
 // process's peak RSS so BENCH_analytics.json can record both.
 func BenchmarkStreamingSummarize(b *testing.B) {
 	dir := b.TempDir()
 	total := writeBenchStore(b, dir, 64, 2000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sum := analysis.NewStreamingSummarizer(8)
+		agg := analysis.NewAggregate(analysis.Bounded)
 		got, err := ForEachDownload(dir, runtime.NumCPU(), func(d *analysis.OfflineDownload) error {
-			sum.Observe(d)
+			agg.Add(d)
 			return nil
 		})
 		if err != nil || got != total {
 			b.Fatalf("streamed %d records, err=%v (want %d)", got, err, total)
 		}
-		if snap := sum.Snapshot(); snap.Downloads != int64(total) {
+		if snap := agg.Streaming(); snap.Downloads != int64(total) {
 			b.Fatalf("summary downloads %d, want %d", snap.Downloads, total)
 		}
 	}
@@ -100,8 +100,8 @@ func BenchmarkStreamingSummarize(b *testing.B) {
 
 // BenchmarkSummarizeStore is the throughput canary for the offline analyzer's
 // parallel streaming pass: concurrent segment decode into the GUID-sharded
-// accumulator with the figure passes enabled — the path netsession-analyze
-// takes over a segment store.
+// exact-mode aggregate — the path netsession-analyze takes over a segment
+// store.
 func BenchmarkSummarizeStore(b *testing.B) {
 	dir := b.TempDir()
 	total := writeBenchStore(b, dir, 64, 2000)
@@ -122,7 +122,7 @@ func BenchmarkSummarizeStore(b *testing.B) {
 	}
 }
 
-// TestStreamingBoundedMemory proves the streaming pass holds bounded memory
+// TestStreamingBoundedMemory proves the bounded-mode pass holds bounded memory
 // no matter how large the store is: live heap (sampled with a forced GC every
 // few segments) must stay far below the decoded size of the store. Retaining
 // the records — what ReadDownloads does by design — would hold the full
@@ -138,10 +138,10 @@ func TestStreamingBoundedMemory(t *testing.T) {
 
 	const sampleEvery = 20_000
 	var peak uint64
-	sum := analysis.NewStreamingSummarizer(4)
+	agg := analysis.NewAggregate(analysis.Bounded)
 	seen := 0
 	got, err := ForEachDownload(dir, 4, func(d *analysis.OfflineDownload) error {
-		sum.Observe(d)
+		agg.Add(d)
 		if seen++; seen%sampleEvery == 0 {
 			runtime.GC()
 			runtime.ReadMemStats(&ms)
@@ -157,7 +157,7 @@ func TestStreamingBoundedMemory(t *testing.T) {
 	if got != total {
 		t.Fatalf("streamed %d records, want %d", got, total)
 	}
-	snap := sum.Snapshot()
+	snap := agg.Streaming()
 	if snap.Downloads != int64(total) {
 		t.Fatalf("summary downloads %d, want %d", snap.Downloads, total)
 	}

@@ -16,7 +16,7 @@ import (
 )
 
 // writeVariedStore materializes a sealed store whose records exercise every
-// branch of the offline accumulator and figure passes: mixed outcomes,
+// branch of the exact aggregate and its figure passes: mixed outcomes,
 // p2p-enabled and infra-only downloads, edge-only and peer-heavy byte
 // splits, all four Figure 7 size classes, repeated GUIDs, and records with
 // and without region annotations.
@@ -78,28 +78,34 @@ func writeVariedStore(tb testing.TB, dir string, segments, recsPerSeg int) int {
 	return n
 }
 
-// equalSummaries compares two OfflineSummary values field by field:
-// integer-typed fields must match exactly, float fields to relative 1e-9 —
-// the sharded pass changes float accumulation order, nothing else.
+// equalSummaries compares two OfflineSummary values field by field,
+// descending into the embedded DerivedMetrics: integer-typed fields must
+// match exactly, float fields to relative 1e-9 — the sharded pass changes
+// float accumulation order, nothing else.
 func equalSummaries(t *testing.T, got, want analysis.OfflineSummary) {
 	t.Helper()
-	gv, wv := reflect.ValueOf(got), reflect.ValueOf(want)
-	for i := 0; i < gv.NumField(); i++ {
-		name := gv.Type().Field(i).Name
-		switch gv.Field(i).Kind() {
-		case reflect.Int, reflect.Int64:
-			if gv.Field(i).Int() != wv.Field(i).Int() {
-				t.Errorf("%s: got %d, want %d", name, gv.Field(i).Int(), wv.Field(i).Int())
+	var walk func(gv, wv reflect.Value)
+	walk = func(gv, wv reflect.Value) {
+		for i := 0; i < gv.NumField(); i++ {
+			name := gv.Type().Field(i).Name
+			switch gv.Field(i).Kind() {
+			case reflect.Struct:
+				walk(gv.Field(i), wv.Field(i))
+			case reflect.Int, reflect.Int64:
+				if gv.Field(i).Int() != wv.Field(i).Int() {
+					t.Errorf("%s: got %d, want %d", name, gv.Field(i).Int(), wv.Field(i).Int())
+				}
+			case reflect.Float64:
+				g, w := gv.Field(i).Float(), wv.Field(i).Float()
+				if diff := math.Abs(g - w); diff > 1e-9*math.Max(1, math.Abs(w)) {
+					t.Errorf("%s: got %v, want %v (diff %g)", name, g, w, diff)
+				}
+			default:
+				t.Fatalf("%s: unhandled kind %s", name, gv.Field(i).Kind())
 			}
-		case reflect.Float64:
-			g, w := gv.Field(i).Float(), wv.Field(i).Float()
-			if diff := math.Abs(g - w); diff > 1e-9*math.Max(1, math.Abs(w)) {
-				t.Errorf("%s: got %v, want %v (diff %g)", name, g, w, diff)
-			}
-		default:
-			t.Fatalf("%s: unhandled kind %s", name, gv.Field(i).Kind())
 		}
 	}
+	walk(reflect.ValueOf(got), reflect.ValueOf(want))
 }
 
 // TestSummarizeStoreMatchesOffline is the tentpole equivalence contract:
@@ -170,16 +176,16 @@ func TestSummarizeStoreMatchesOffline(t *testing.T) {
 		if int(rowDls) != total {
 			t.Errorf("workers=%d: region table covers %d downloads, want %d", workers, rowDls, total)
 		}
-		if got.Figures.Render() == "" {
+		if got.Figures.RenderFigures() == "" {
 			t.Error("empty figures rendering")
 		}
 	}
 }
 
-// TestOfflineFiguresFigure7Tallies pins the Figure 7 streaming tallies
+// TestOfflineFiguresFigure7Tallies pins the aggregate's Figure 7 tallies
 // against hand-computed expectations on a tiny input.
 func TestOfflineFiguresFigure7Tallies(t *testing.T) {
-	f := analysis.NewOfflineFigures()
+	f := analysis.NewAggregate(analysis.Exact)
 	add := func(size int64, p2p bool, outcome string) {
 		f.Add(&analysis.OfflineDownload{Size: size, P2PEnabled: p2p, Outcome: outcome})
 	}
@@ -296,10 +302,10 @@ func TestForEachDownloadParallelMatches(t *testing.T) {
 }
 
 // TestOfflineStreamingBoundedMemory extends the TestStreamingBoundedMemory
-// contract to the full offline analysis: a parallel SummarizeStore-style
-// pass must hold live heap far below the decoded store size — its state
-// scales with distinct GUIDs/URLs/ASes plus one float per completed
-// download, never with raw record bytes.
+// contract to exact mode: SummarizeStore's walk (ForEachDownloadParallel
+// into an exact-mode Sharded aggregate) must hold live heap far below the
+// decoded store size — its state scales with distinct GUIDs/URLs/ASes plus
+// one float per completed download, never with raw record bytes.
 func TestOfflineStreamingBoundedMemory(t *testing.T) {
 	dir := t.TempDir()
 	total := writeBenchStore(t, dir, 100, 1500) // 150k records, ~45 MB decoded
@@ -315,7 +321,7 @@ func TestOfflineStreamingBoundedMemory(t *testing.T) {
 		seen int
 		peak uint64
 	)
-	acc := analysis.NewShardedOfflineAccumulator(8, true)
+	acc := analysis.NewSharded(analysis.Exact)
 	got, err := ForEachDownloadParallel(dir, 4, func(d *analysis.OfflineDownload) error {
 		acc.Add(d)
 		mu.Lock()
@@ -339,7 +345,7 @@ func TestOfflineStreamingBoundedMemory(t *testing.T) {
 	if got != total {
 		t.Fatalf("streamed %d records, want %d", got, total)
 	}
-	sum := acc.Summary()
+	sum := acc.Aggregate().Summary()
 	if sum.Downloads != total || sum.DistinctGUIDs != total {
 		t.Fatalf("summary covers %d downloads / %d GUIDs, want %d of each", sum.Downloads, sum.DistinctGUIDs, total)
 	}

@@ -39,8 +39,8 @@ type TailerConfig struct {
 // Tailer incrementally follows a rotated segment store: each Poll returns the
 // records appended since the previous one, across any number of seals and
 // rotations in between. It is the live half of the analytics pipeline — the
-// offline pass reads a sealed store once, the tailer feeds a streaming
-// summarizer the same records as they land.
+// offline pass reads a sealed store once, the tailer feeds a bounded-mode
+// analysis.Aggregate the same records as they land.
 //
 // Damage policy mirrors ReadDownloads: a torn or half-written *last* segment
 // only delays its tail (the records reappear on a later poll once the writer
@@ -305,9 +305,9 @@ func ForEachDownload(dir string, workers int, fn func(*analysis.OfflineDownload)
 
 // ForEachDownloadParallel streams every download record in a sealed segment
 // directory through fn, calling it concurrently from workers goroutines —
-// fn must be safe for concurrent use (e.g. a ShardedOfflineAccumulator or a
-// StreamingSummarizer). Unlike ForEachDownload there is no ordered hand-off
-// back to a single consumer, so decode AND aggregation parallelize; within
+// fn must be safe for concurrent use (e.g. an analysis.Sharded aggregate's
+// Add). Unlike ForEachDownload there is no ordered hand-off back to a
+// single consumer, so decode AND aggregation parallelize; within
 // one segment records are still delivered in order. On error the pipeline
 // cancels and the lowest-segment-indexed error observed is returned; the
 // returned count is the number of records delivered before cancellation.
@@ -379,34 +379,37 @@ func ForEachDownloadParallel(dir string, workers int, fn func(*analysis.OfflineD
 }
 
 // StoreSummary is the result of one parallel streaming pass over a segment
-// store: the offline summary, the figure passes, and the record count.
+// store: the offline summary, the exact aggregate it was projected from
+// (whose Figure3a/Figure3b/Figure7/RegionOffload are the figure passes),
+// and the record count.
 type StoreSummary struct {
 	Summary analysis.OfflineSummary
-	Figures *analysis.OfflineFigures
+	Figures *analysis.Aggregate
 	Records int
 }
 
 // SummarizeStore runs the full offline analysis over a sealed segment store
 // in one parallel streaming pass: workers goroutines decode segments and
-// fold records into a GUID-sharded accumulator, so a store of any size
-// analyzes in memory proportional to its distinct GUIDs/URLs/ASes — never
-// to its record count. The summary matches SummarizeOffline over the same
-// records (count-, set- and sort-derived fields exactly; float sums to
-// accumulation-order rounding), and the figures match the batch passes
-// exactly.
+// fold records into an exact-mode analysis.Sharded aggregate, so a store of
+// any size analyzes in memory proportional to its distinct GUIDs/URLs/ASes
+// (plus one speed sample per completed download) — never to its raw
+// record bytes. The summary matches SummarizeOffline over the same records
+// (integer fields exactly, float fields to accumulation-order rounding),
+// and the figures match the batch passes exactly.
 func SummarizeStore(dir string, workers int) (StoreSummary, error) {
 	if workers < 1 {
 		workers = 1
 	}
-	acc := analysis.NewShardedOfflineAccumulator(4*workers, true)
+	sh := analysis.NewSharded(analysis.Exact)
 	n, err := ForEachDownloadParallel(dir, workers, func(d *analysis.OfflineDownload) error {
-		acc.Add(d)
+		sh.Add(d)
 		return nil
 	})
 	if err != nil {
 		return StoreSummary{}, err
 	}
-	return StoreSummary{Summary: acc.Summary(), Figures: acc.Figures(), Records: n}, nil
+	agg := sh.Aggregate()
+	return StoreSummary{Summary: agg.Summary(), Figures: agg, Records: n}, nil
 }
 
 // decodeSegment reads and unmarshals one segment under the shared damage

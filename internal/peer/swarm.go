@@ -51,14 +51,30 @@ func (sc *swarmConn) close() {
 		return
 	}
 	sc.closed = true
+	conn := sc.conn
 	sc.mu.Unlock()
-	sc.conn.Close()
+	if conn != nil { // nil while a dial-back is still connecting
+		conn.Close()
+	}
 	if sc.uploadSlot {
 		sc.c.uploads.release(sc)
 	}
 	if sc.download != nil {
 		sc.download.removeConn(sc)
 	}
+}
+
+// attach installs the socket a dial-back connected. It reports false, and
+// leaves the socket to the caller to close, when the connection was closed
+// while the dial was in flight.
+func (sc *swarmConn) attach(conn net.Conn) bool {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	if sc.closed {
+		return false
+	}
+	sc.conn = conn
+	return true
 }
 
 // sendLocalBitfield announces what we hold.

@@ -128,7 +128,10 @@ func (u *uploadManager) dialBack(oid content.ObjectID, remote protocol.PeerInfo)
 		u.release(sc)
 		return
 	}
-	sc.conn = conn
+	if !sc.attach(conn) {
+		conn.Close() // the client closed during the dial
+		return
+	}
 	// Dial-back handshakes carry no token: the uploader is not requesting
 	// anything; the downloader accepts because it has an active download.
 	if err := sc.send(&protocol.Handshake{GUID: u.c.cfg.GUID, Object: oid}); err != nil {

@@ -595,8 +595,8 @@ func TestLogpipeLiveSimParity(t *testing.T) {
 		t.Fatalf("sim summary lost the geo annotation: %+v", simSum)
 	}
 
-	// Streaming equivalence over both segment stores: a tailer feeding the
-	// streaming summarizer must reproduce the offline summary — exactly for
+	// Streaming equivalence over both segment stores: a tailer feeding a
+	// bounded-mode aggregate must reproduce the offline summary — exactly for
 	// count- and byte-derived metrics, within the sketch budget for the
 	// distinct-GUID population.
 	requireStreamingParity(t, "live", cfg.LogDir, liveSum)
@@ -639,24 +639,24 @@ func TestLogpipeLiveSimParity(t *testing.T) {
 	}
 }
 
-// requireStreamingParity tails a segment store into a StreamingSummarizer and
-// checks the equivalence contract against the offline summary of the same
-// store.
+// requireStreamingParity tails a segment store into a bounded-mode aggregate
+// and checks the equivalence contract against the offline summary of the
+// same store.
 func requireStreamingParity(t *testing.T, name, dir string, off analysis.OfflineSummary) {
 	t.Helper()
 	tl, err := logpipe.OpenTailer(logpipe.TailerConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := analysis.NewStreamingSummarizer(4)
+	agg := analysis.NewAggregate(analysis.Bounded)
 	recs, err := tl.Poll()
 	if err != nil {
 		t.Fatalf("%s: tail: %v", name, err)
 	}
 	for i := range recs {
-		s.Observe(&recs[i])
+		agg.Add(&recs[i])
 	}
-	st := s.Snapshot()
+	st := agg.Streaming()
 	if int64(off.Downloads) != st.Downloads {
 		t.Fatalf("%s: streaming saw %d downloads, offline %d", name, st.Downloads, off.Downloads)
 	}

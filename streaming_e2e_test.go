@@ -34,7 +34,7 @@ func streamStart(t *testing.T, p *Peer, oid ObjectID, cfg streaming.Config) *Dow
 // several objects at a bitrate the loopback edge can trivially sustain, so
 // every session must start playback and miss zero deadlines; the playback
 // metrics must then flow intact through the log pipeline into the offline
-// summary, the streaming summarizer (parity), and the control plane's live
+// summary, the bounded-mode aggregate (parity), and the control plane's live
 // analytics and /metrics surfaces.
 func TestStreamingE2EDelivery(t *testing.T) {
 	cfg := DefaultClusterConfig()
@@ -96,7 +96,7 @@ func TestStreamingE2EDelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Offline summary sees the streams; the streaming summarizer must agree
+	// Offline summary sees the streams; the bounded-mode aggregate must agree
 	// on every stream aggregate (the parity contract).
 	recs, err := logpipe.ReadDownloads(cfg.LogDir)
 	if err != nil {
